@@ -21,6 +21,10 @@ from __future__ import annotations
 
 import time
 
+from probe import at_reference_speed, probe_seconds
+
+#: Probe reading at the start of set-up, then the set-up clock.
+SETUP_PROBE = probe_seconds()
 START = time.perf_counter()
 
 import argparse  # noqa: E402
@@ -32,6 +36,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from typing import Tuple  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CHECKOUT = os.path.dirname(HERE)
@@ -63,7 +68,13 @@ def isolate(scratch: str) -> None:
     os.environ["REPRO_IR_CACHE"] = os.path.join(scratch, "ir-cache")
 
 
-def child_setup_seconds(args) -> float:
+def setup_sample() -> Tuple[float, float]:
+    """``(seconds, probe seconds)`` of this process's set-up, ending now."""
+    seconds = time.perf_counter() - START
+    return seconds, (SETUP_PROBE + probe_seconds()) / 2
+
+
+def child_setup_sample(args) -> Tuple[float, float]:
     command = [
         sys.executable,
         os.path.abspath(__file__),
@@ -76,11 +87,12 @@ def child_setup_seconds(args) -> float:
     done = subprocess.run(
         command, cwd=CHECKOUT, capture_output=True, text=True, timeout=150, check=True
     )
-    return float(json.loads(done.stdout.strip().splitlines()[-1])["setup_s"])
+    sample = json.loads(done.stdout.strip().splitlines()[-1])
+    return float(sample["seconds"]), float(sample["probe"])
 
 
 def measure(workload, seconds: float):
-    """Run repetitions until the next one would end past ``seconds``.
+    """Run repetitions for about ``seconds``: stop nearest to that mark.
 
     At least one cycle, so that every item has a sample in both phases.
     """
@@ -94,21 +106,27 @@ def measure(workload, seconds: float):
         workload.repetition(index, samples)
         index += 1
         took = time.perf_counter() - began
-        if index >= workload.cycle and time.perf_counter() - start + took > seconds:
+        if index >= workload.cycle and time.perf_counter() - start + took / 2 > seconds:
             return samples
 
 
-def throughput(items) -> float:
+def throughput(items, wall: bool = False) -> float:
     """Operations per second of one pass over every item of a phase.
 
-    Each item contributes its mean operations and mean seconds, so a window
-    that samples some items once more than others still estimates one whole
-    pass.  The host's speed drifts in phases of seconds; a median of
-    per-sample rates jumps between a fast and a slow phase, while a mean
-    weights each phase by how long it lasted.
+    Each item contributes its mean operations per sample times its median
+    seconds per operation, so a window that samples some items once more
+    than others still estimates one whole pass, and a sample that met an
+    odd host phase moves nothing.  Each sample's seconds are rescaled to
+    the reference host speed (see ``probe.py``), or kept as wall seconds
+    with ``wall``.
     """
-    ops = sum(statistics.fmean(n for n, _ in runs) for runs in items.values())
-    seconds = sum(statistics.fmean(t for _, t in runs) for runs in items.values())
+    ops = seconds = 0.0
+    for runs in items.values():
+        per_sample = statistics.fmean(n for n, _, _ in runs)
+        ops += per_sample
+        seconds += per_sample * statistics.median(
+            (t if wall else at_reference_speed(t, probe)) / n for n, t, probe in runs
+        )
     return ops / seconds
 
 
@@ -149,9 +167,9 @@ def main(argv=None) -> int:
         tally = units.Tally()
         workload = units.WORKLOADS[args.workload](args.seed, scratch, tally)
         workload.warm_up()
-        setup_s = time.perf_counter() - START
+        setup = setup_sample()
         if args.setup_only:
-            print(json.dumps({"setup_s": setup_s}))
+            print(json.dumps({"seconds": setup[0], "probe": setup[1]}))
             return 0
 
         if args.trace:
@@ -167,10 +185,10 @@ def main(argv=None) -> int:
             print(f"chrome trace: {os.path.relpath(trace_path, CHECKOUT)}")
             declared = declared_metrics("per_layer")
         else:
-            setups = [setup_s] + [child_setup_seconds(args) for _ in range(SETUP_CHILDREN)]
+            setups = [setup] + [child_setup_sample(args) for _ in range(SETUP_CHILDREN)]
             samples = measure(workload, args.seconds)
             values = {
-                "setup_s": statistics.median(setups),
+                "setup_s": statistics.median(at_reference_speed(*setup) for setup in setups),
                 "peak_rss_mb": peak_rss_mb(),
                 "ops_per_s": throughput(samples["first"]),
                 "rerun_ops_per_s": throughput(samples["rerun"]),
@@ -181,8 +199,10 @@ def main(argv=None) -> int:
             }
             print(
                 f"{args.workload} seed={args.seed}: {counts['first']} first / "
-                f"{counts['rerun']} rerun samples, "
-                f"setup samples {[round(s, 3) for s in setups]}"
+                f"{counts['rerun']} rerun samples; wall rates "
+                f"{throughput(samples['first'], wall=True):.4g} / "
+                f"{throughput(samples['rerun'], wall=True):.4g} 1/s, "
+                f"wall setup samples {[round(s, 3) for s, _ in setups]}"
             )
             declared = declared_metrics("end_to_end")
         if set(values) != set(declared):

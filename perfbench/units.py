@@ -1,8 +1,9 @@
 """The benchmark's four workloads: what one repetition runs and what it checks.
 
 Each workload drives ``repro``'s public API only.  A repetition appends
-``(operations, seconds)`` samples per item (one zoo workload, one TV kernel,
-or the whole search) to two phases:
+``(operations, seconds, probe seconds)`` samples (see ``probe.py``) per
+item (one zoo workload, one TV kernel under one pipeline, or the whole
+search) to two phases:
 
 * ``first`` -- the call as a user issues it the first time;
 * ``rerun`` -- the identical call issued again right after, with whatever
@@ -24,7 +25,6 @@ import math
 import random
 import shutil
 import tempfile
-import time
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
@@ -36,6 +36,8 @@ from repro.dse.runner import explore
 from repro.dse.space import build_space, polybench_suite, suite_from_names
 from repro.workloads import iter_workloads
 
+from probe import Stopwatch
+
 #: Zoo compile targets: the DNN models on the paper's SLR of a VU9P, the
 #: kernels on the ZU3EG (the platforms of Tables 8 and 7).
 ZOO_PLATFORMS = {"model": "vu9p-slr", "kernel": "zu3eg"}
@@ -44,9 +46,11 @@ TV_PLATFORM = "vu9p-slr"
 #: floating-point reductions; every other kernel must stay bitwise equal.
 TV_TOLERANCES = {"correlation": 1e-9}
 DSE_WORKERS = 2
+#: Seconds between host probes while a search runs in the worker pool.
+PROBE_EVERY_S = 0.25
 
-#: ``phase -> item -> [(operations, seconds), ...]``
-Samples = Dict[str, Dict[str, List[Tuple[int, float]]]]
+#: ``phase -> item -> [(operations, seconds, probe seconds), ...]``
+Samples = Dict[str, Dict[str, List[Tuple[int, float, float]]]]
 PHASES = ("first", "rerun")
 
 
@@ -118,26 +122,27 @@ class ZooCompile(Workload):
         #: Per-workload (throughput, dsp, latency) of the warm-up pass.
         self.reference: Dict[str, Tuple[float, float, float]] = {}
 
-    def compile(self, handle) -> float:
-        """Compile one workload, check its QoR and return the seconds taken."""
+    def compile(self, handle) -> Stopwatch:
+        """Compile one workload, check its QoR and return its timing."""
         platform = ZOO_PLATFORMS[handle.kind]
         self.tally.attempted += 1
-        start = time.perf_counter()
-        try:
-            with obs.span("Compiler.run", cat="bench", workload=handle.name):
-                compiler = Compiler.from_spec(DEFAULT_PIPELINE, platform=platform)
-                result = compiler.run(workload=handle)
-        except Exception as error:  # a failed compile is a counted failure
-            self.tally.fail(f"{handle.name}: compile raised {error!r}")
-            return time.perf_counter() - start
-        seconds = time.perf_counter() - start
+        result = None
+        with Stopwatch() as watch:
+            try:
+                with obs.span("Compiler.run", cat="bench", workload=handle.name):
+                    compiler = Compiler.from_spec(DEFAULT_PIPELINE, platform=platform)
+                    result = compiler.run(workload=handle)
+            except Exception as error:  # a failed compile is a counted failure
+                self.tally.fail(f"{handle.name}: compile raised {error!r}")
+        if result is None:
+            return watch
         qor = (result.throughput, result.estimate.resources.dsp, result.estimate.latency)
         expected = self.reference.setdefault(handle.name, qor)
         if not qor[0] > 0:
             self.tally.fail(f"{handle.name}: throughput {qor[0]} is not positive")
         elif qor != expected:
             self.tally.fail(f"{handle.name}: QoR {qor} differs from first pass {expected}")
-        return seconds
+        return watch
 
     def warm_up(self) -> None:
         for handle in self.handles:
@@ -146,7 +151,7 @@ class ZooCompile(Workload):
     def repetition(self, index: int, samples: Samples) -> None:
         handle = self.handles[index % self.cycle]
         for phase in PHASES:
-            samples[phase][handle.name].append((1, self.compile(handle)))
+            samples[phase][handle.name].append(self.compile(handle).sample(1))
 
 
 class DseSearch(Workload):
@@ -179,7 +184,7 @@ class DseSearch(Workload):
 
     def explore(
         self, space: List, seed: int, qor_dir: str, ir_dir: Optional[str], phase: str
-    ) -> Tuple[float, object]:
+    ) -> Tuple[Stopwatch, object]:
         options = dict(
             workers=DSE_WORKERS,
             cache_dir=qor_dir,
@@ -193,10 +198,10 @@ class DseSearch(Workload):
             options["strategy_options"] = {"population": len(space)}
         if ir_dir is not None:
             options.update(ir_cache=True, ir_cache_dir=ir_dir)
-        with obs.span("explore", cat="bench", phase=phase, seed=seed):
-            start = time.perf_counter()
+        with obs.span("explore", cat="bench", phase=phase, seed=seed), Stopwatch(
+            sample_every=PROBE_EVERY_S
+        ) as watch:
             result = explore(space, **options)
-            seconds = time.perf_counter() - start
         self.tally.attempted += result.num_points
         if result.errors:
             first = result.errors[0].get("error")
@@ -204,25 +209,25 @@ class DseSearch(Workload):
                 f"{phase}: {len(result.errors)} error records (first: {first})",
                 len(result.errors),
             )
-        return seconds, result
+        return watch, result
 
     def unit(self, space: List, seed: int, samples: Optional[Samples]) -> None:
         qor_dir = self.fresh_dir()
         ir_dir = self.fresh_dir() if self.ir_cache else None
         try:
-            seconds, cold = self.explore(space, seed, qor_dir, ir_dir, "cold")
+            watch, cold = self.explore(space, seed, qor_dir, ir_dir, "cold")
             if samples is not None:
-                samples["first"]["search"].append((cold.num_points, seconds))
+                samples["first"]["search"].append(watch.sample(cold.num_points))
             warm_runs = []
             for _ in range(self.warm_reruns):
                 # The incremental rerun starts from an empty QoR cache so that
                 # every point resumes from an IR snapshot instead.
                 warm_qor = self.fresh_dir() if self.ir_cache else qor_dir
-                seconds, warm = self.explore(space, seed, warm_qor, ir_dir, "warm")
+                watch, warm = self.explore(space, seed, warm_qor, ir_dir, "warm")
                 self.check_warm(cold, warm)
-                warm_runs.append((seconds, warm))
+                warm_runs.append((watch.seconds, warm))
                 if samples is not None:
-                    samples["rerun"]["search"].append((warm.num_points, seconds))
+                    samples["rerun"]["search"].append(watch.sample(warm.num_points))
             self.last = {"cold": cold, "warm": warm_runs}
         finally:
             shutil.rmtree(qor_dir, ignore_errors=True)
@@ -289,44 +294,44 @@ class TvSweep(Workload):
             for mode in sorted(ABLATION_MODES)
         ]
 
-    def validate(self, handle) -> Tuple[float, List]:
-        """Validate one kernel under every pipeline; the seconds and reports."""
-        reports = []
-        start = time.perf_counter()
-        for label, spec in self.specs:
-            self.tally.attempted += 1
-            with obs.span("validate_pipeline", cat="bench", workload=handle.label(), spec=label):
-                report = validate_pipeline(
-                    handle,
-                    spec,
-                    platform=TV_PLATFORM,
-                    seed=self.seed,
-                    tolerance=TV_TOLERANCES.get(handle.name, 0.0),
-                )
-            reports.append(report)
-        seconds = time.perf_counter() - start
-        for report in reports:
-            outcomes = report.outcomes()
-            if not report.ok:
-                self.tally.fail(f"{report.workload} [{report.spec[:40]}]: {report.error}")
-            elif outcomes.get("skipped-budget"):
-                self.tally.fail(f"{report.workload}: skipped-budget checks {outcomes}")
-        return seconds, reports
+    def validate(self, handle, label: str, spec: str) -> Tuple[Stopwatch, object]:
+        """Validate one kernel under one pipeline; its timing and the report."""
+        self.tally.attempted += 1
+        with Stopwatch() as watch, obs.span(
+            "validate_pipeline", cat="bench", workload=handle.label(), spec=label
+        ):
+            report = validate_pipeline(
+                handle,
+                spec,
+                platform=TV_PLATFORM,
+                seed=self.seed,
+                tolerance=TV_TOLERANCES.get(handle.name, 0.0),
+            )
+        outcomes = report.outcomes()
+        if not report.ok:
+            self.tally.fail(f"{report.workload} [{label}]: {report.error}")
+        elif outcomes.get("skipped-budget"):
+            self.tally.fail(f"{report.workload} [{label}]: skipped-budget checks {outcomes}")
+        return watch, report
 
     def warm_up(self) -> None:
         for handle in self.handles:
             if handle.name in ("atax", "mvt"):
-                self.validate(handle)
+                for label, spec in self.specs:
+                    self.validate(handle, label, spec)
 
     def repetition(self, index: int, samples: Samples) -> None:
+        # One item per (kernel, pipeline): short items give each one several
+        # samples per run (see ``throughput`` in run.py).
         handle = self.handles[index % self.cycle]
         if index % self.cycle == 0:
             self.last = {"reports": []}
-        for phase in PHASES:
-            seconds, reports = self.validate(handle)
-            samples[phase][handle.label()].append((len(reports), seconds))
-            if phase == "first":
-                self.last["reports"].extend(reports)
+        for label, spec in self.specs:
+            for phase in PHASES:
+                watch, report = self.validate(handle, label, spec)
+                samples[phase][f"{handle.label()} {label}"].append(watch.sample(1))
+                if phase == "first":
+                    self.last["reports"].append(report)
 
 
 WORKLOADS = {
