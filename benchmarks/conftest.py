@@ -20,10 +20,10 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.baselines import compile_scalehls_baseline
+from repro.compiler import DEFAULT_PIPELINE, Compiler
 from repro.estimation import get_platform
-from repro.hida import HidaOptions, compile_module
 
-__all__ = ["fit_hida", "fit_scalehls", "dsp_budget_of"]
+__all__ = ["hida_spec", "fit_hida", "fit_scalehls", "dsp_budget_of"]
 
 
 def pytest_addoption(parser):
@@ -70,25 +70,45 @@ def dsp_budget_of(platform_name):
     return get_platform(platform_name).dsps
 
 
-def fit_hida(build_module, platform_name, factors=(16, 32, 64, 128, 256), **options):
-    """Compile with HIDA at the largest parallel factor fitting the DSP budget."""
+def hida_spec(**edits):
+    """``DEFAULT_PIPELINE`` with per-stage edits, keyed by stage name.
+
+    ``None`` drops a stage and a string sets its options; ``_`` in a key
+    stands for ``-`` in the stage name, e.g.
+    ``hida_spec(tile=None, parallelize="factor=8")``.
+    """
+    names = DEFAULT_PIPELINE.split(",")
+    unknown = set(edits) - {name.replace("-", "_") for name in names}
+    assert not unknown, f"not a default stage: {sorted(unknown)}"
+    stages = []
+    for name in names:
+        edit = edits.get(name.replace("-", "_"), "")
+        if edit is not None:
+            stages.append(f"{name}{{{edit}}}" if edit else name)
+    return ",".join(stages)
+
+
+def fit_hida(build_module, platform_name, factors=(16, 32, 64, 128, 256), **edits):
+    """Compile with HIDA at the largest parallel factor fitting the DSP budget.
+
+    ``edits`` are further :func:`hida_spec` stage edits (e.g. ``tile=None``).
+    """
+
+    def compile_at(factor):
+        spec = hida_spec(parallelize=f"factor={factor}", **edits)
+        return Compiler.from_spec(spec, platform=platform_name).run(build_module())
+
     budget = dsp_budget_of(platform_name)
     best = None
     for factor in factors:
-        result = compile_module(
-            build_module(),
-            HidaOptions(platform=platform_name, max_parallel_factor=factor, **options),
-        )
+        result = compile_at(factor)
         if result.estimate.resources.dsp <= budget:
             if best is None or result.throughput > best.throughput:
                 best = result
         else:
             break
     if best is None:
-        best = compile_module(
-            build_module(),
-            HidaOptions(platform=platform_name, max_parallel_factor=factors[0], **options),
-        )
+        best = compile_at(factors[0])
     return best
 
 

@@ -7,19 +7,19 @@ the wall-clock cost of the compiler itself is a first-class result.
 
 import pytest
 
+from conftest import hida_spec
 from repro.frontend.cpp import build_kernel
 from repro.frontend.nn import build_model
-from repro.hida import HidaOptions, compile_module
+from repro.compiler import DEFAULT_PIPELINE, Compiler
 from repro.ir.printer import fingerprint_op, print_op
 
 
 @pytest.mark.parametrize("kernel", ["2mm", "atax", "correlation"])
 def test_compile_time_cpp_kernel(benchmark, kernel):
+    compiler = Compiler.from_spec(hida_spec(tile=None), platform="zu3eg")
+
     def run():
-        return compile_module(
-            build_kernel(kernel),
-            HidaOptions(platform="zu3eg", max_parallel_factor=32, tile_size=0),
-        )
+        return compiler.run(build_kernel(kernel))
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.throughput > 0
@@ -27,11 +27,10 @@ def test_compile_time_cpp_kernel(benchmark, kernel):
 
 @pytest.mark.parametrize("model", ["lenet", "resnet18", "mobilenet"])
 def test_compile_time_dnn_model(benchmark, model):
+    compiler = Compiler.from_spec(hida_spec(parallelize="factor=64"), platform="vu9p-slr")
+
     def run():
-        return compile_module(
-            build_model(model),
-            HidaOptions(platform="vu9p-slr", max_parallel_factor=64),
-        )
+        return compiler.run(build_model(model))
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)
     assert result.throughput > 0
@@ -79,11 +78,10 @@ def test_compile_time_telemetry_disabled(benchmark):
     obs.shutdown()
     assert not obs.enabled()
 
+    compiler = Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg")
+
     def run():
-        return compile_module(
-            build_kernel("atax"),
-            HidaOptions(platform="zu3eg", max_parallel_factor=32, tile_size=16),
-        )
+        return compiler.run(build_kernel("atax"))
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.throughput > 0

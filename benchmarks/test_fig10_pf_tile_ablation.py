@@ -10,9 +10,10 @@ combination, reproducing the trends of Figure 10:
 * memory utilization grows with the tile size.
 """
 
+from conftest import hida_spec
+from repro.compiler import Compiler
 from repro.evaluation import format_table
 from repro.frontend.nn import build_model
-from repro.hida import HidaOptions, compile_module
 
 PLATFORM = "vu9p-slr"
 PARALLEL_FACTORS = [1, 4, 16, 64, 256]
@@ -23,12 +24,8 @@ def _run_sweep():
     samples = []
     for factor in PARALLEL_FACTORS:
         for tile in TILE_SIZES:
-            result = compile_module(
-                build_model("resnet18"),
-                HidaOptions(
-                    platform=PLATFORM, max_parallel_factor=factor, tile_size=tile
-                ),
-            )
+            spec = hida_spec(tile=f"size={tile}", parallelize=f"factor={factor}")
+            result = Compiler.from_spec(spec, platform=PLATFORM).run(build_model("resnet18"))
             resources = result.estimate.resources
             samples.append({
                 "parallel_factor": factor,

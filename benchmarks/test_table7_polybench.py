@@ -18,7 +18,7 @@ PLATFORM = "zu3eg"
 
 
 def _evaluate_kernel(name):
-    hida = fit_hida(lambda: build_kernel(name), PLATFORM, factors=(8, 16, 32, 64), tile_size=0)
+    hida = fit_hida(lambda: build_kernel(name), PLATFORM, factors=(8, 16, 32, 64), tile=None)
     scalehls = fit_scalehls(lambda: build_kernel(name), PLATFORM, factors=(8, 16, 32, 64))
     vitis = compile_vitis_baseline(build_kernel(name), platform=PLATFORM)
     return {

@@ -23,8 +23,8 @@ def main() -> None:
     print("\n".join(print_op(module).splitlines()[:20]))
 
     # 2. Compile with HIDA through the textual-pipeline front door.  The
-    #    spec is the Figure-3 flow with task fusion and tiling dropped
-    #    (equivalently: HidaOptions(fuse_tasks=False, tile_size=0)).
+    #    spec is the Figure-3 flow (DEFAULT_PIPELINE) with the fuse-tasks
+    #    and tile stages dropped.
     compiler = Compiler.from_spec(
         "construct-dataflow,lower-linalg,lower-structural,"
         "eliminate-multi-producers,balance,parallelize{factor=32},estimate",

@@ -9,7 +9,7 @@ against the ScaleHLS-style baseline under the same resource budget.
 Run with:  python examples/resnet18_dataflow.py
 """
 
-from repro import HidaCompiler, get_target, get_workload
+from repro import Compiler, get_target, get_workload
 from repro.baselines import compile_scalehls_baseline
 from repro.estimation import dsp_efficiency, memory_reduction
 from repro.frontend.nn import layer_summary
@@ -29,8 +29,12 @@ def main() -> None:
     print("  ...")
 
     # 2. Compile with HIDA at a parallel factor that fits the SLR.
-    compiler = HidaCompiler()
-    result = compiler.compile_model("resnet18", max_parallel_factor=128)
+    compiler = Compiler.from_spec(
+        "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
+        "eliminate-multi-producers,balance,tile,parallelize{factor=128},estimate",
+        platform="vu9p-slr",
+    )
+    result = compiler.run(workload)
     resources = result.estimate.resources
     efficiency = dsp_efficiency(
         result.throughput, total_macs, resources.dsp, platform.clock_hz

@@ -32,21 +32,14 @@ to compile and *for which hardware*)::
     ).run(workload="resnet18@batch=4")
     print(result.summary())
 
-Spec-first front door (see :mod:`repro.compiler`)::
-
-    from repro import Compiler
-
-    result = Compiler.from_spec(
-        "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
-        "eliminate-multi-producers,balance,tile,parallelize{factor=64},estimate",
-        platform="vu9p-slr",
-    ).run(module)
+``.run(module)`` compiles an already-built module instead; the pipeline
+spec is the only compiler configuration (see :mod:`repro.compiler`).
 """
 
 from .backend import emit_hls_cpp
 from .compiler import DEFAULT_PIPELINE, Compiler, PipelineSpec, parse_pipeline
 from .estimation import Platform, QoREstimator, get_platform
-from .hida import CompileResult, HidaCompiler, HidaOptions, compile_module
+from .hida import CompileResult
 from .targets import Target, get_target, list_targets
 from .workloads import Workload, get_workload, list_workloads
 
@@ -56,10 +49,7 @@ __all__ = [
     "CompileResult",
     "Compiler",
     "DEFAULT_PIPELINE",
-    "HidaCompiler",
-    "HidaOptions",
     "PipelineSpec",
-    "compile_module",
     "parse_pipeline",
     "emit_hls_cpp",
     "Platform",

@@ -2,7 +2,7 @@
 
 Both registries (and the CLIs built on them) report unknown names the same
 way: the full list of registered names plus a closest-match suggestion,
-mirroring the fusion-pattern errors of ``HidaOptions.from_dict``.
+mirroring the ``fuse-tasks{patterns=...}`` unknown-pattern errors.
 """
 
 from __future__ import annotations

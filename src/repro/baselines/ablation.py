@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-from ..compiler import Compiler
+from ..compiler import Compiler, default_pipeline_spec
 from ..hida.pipeline import CompileResult
 from ..ir.builtin import ModuleOp
 
@@ -49,31 +49,28 @@ def ablation_pipeline_spec(
 ) -> str:
     """The printed pipeline spec of one Figure-11 ablation variant.
 
-    Derived from the same options->spec bridge the default pipeline uses
-    (so the stage sequence can never drift from what ``compile_module``
-    runs), with the mode-defining ``ia``/``ca`` switches kept explicit in
-    the printed form even when they equal the stage defaults.
+    The default Figure-3 stage sequence with ``tile`` resized (0 drops it)
+    and ``parallelize`` reconfigured; the mode-defining ``ia``/``ca``
+    switches stay explicit in the printed form even when they equal the
+    stage defaults.
     """
     if mode not in ABLATION_MODES:
         raise KeyError(f"unknown ablation mode {mode!r}; options: {list(ABLATION_MODES)}")
-    from ..compiler import spec_from_options
-    from ..hida.pipeline import HidaOptions
-
     intensity_aware, connection_aware = ABLATION_MODES[mode]
-    spec = spec_from_options(
-        HidaOptions(
-            max_parallel_factor=max_parallel_factor,
-            tile_size=tile_size,
-            intensity_aware=intensity_aware,
-            connection_aware=connection_aware,
-        )
-    )
+    spec = default_pipeline_spec()
+    if tile_size <= 0:
+        spec.stages = [stage for stage in spec.stages if stage.name != "tile"]
+    for stage in spec:
+        if stage.name == "tile":
+            stage.options["size"] = [str(tile_size)]
+        elif stage.name == "parallelize":
+            stage.options["factor"] = [str(max_parallel_factor)]
+    # Canonical printing drops default values; ia/ca are then pinned.
+    spec = Compiler.from_spec(spec).spec()
     for stage in spec:
         if stage.name == "parallelize":
-            stage.options.setdefault("ia", [str(int(intensity_aware))])
-            stage.options.setdefault("ca", [str(int(connection_aware))])
-            order = ("factor", "ia", "ca", "target-ii")
-            stage.options = {k: stage.options[k] for k in order if k in stage.options}
+            stage.options["ia"] = [str(int(intensity_aware))]
+            stage.options["ca"] = [str(int(connection_aware))]
     return spec.print()
 
 

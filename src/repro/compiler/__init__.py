@@ -1,7 +1,7 @@
 """repro.compiler — the composable compilation front door.
 
-This package replaces the monolithic ``compile_module`` driver with three
-composable layers:
+The one way to configure and run a compile is a textual pipeline spec,
+in three layers:
 
 * :mod:`repro.compiler.spec` — MLIR-style textual pipeline specs
   (``"construct-dataflow,fuse-tasks{patterns=elementwise,init},..."``),
@@ -13,8 +13,7 @@ composable layers:
 * :mod:`repro.compiler.driver` — the :class:`Compiler` object
   (``Compiler.from_spec(spec, platform=...)``, ``.run(module)``) with
   observer hooks for per-stage IR snapshots, timings and structured
-  diagnostics, plus the lossless bridge to the legacy ``HidaOptions``
-  surface.
+  diagnostics.
 
 ``python -m repro.compiler`` exposes the same front door on the command
 line (``--print-default-pipeline``, ``--list-stages``, ``--spec``).
@@ -41,8 +40,6 @@ from .driver import (
     SnapshotObserver,
     TimingObserver,
     default_pipeline_spec,
-    options_from_spec,
-    spec_from_options,
 )
 from .spec import PipelineSpec, PipelineSpecError, StageSpec, parse_pipeline
 from .stages import (
@@ -65,8 +62,6 @@ __all__ = [
     "SnapshotObserver",
     "TimingObserver",
     "default_pipeline_spec",
-    "options_from_spec",
-    "spec_from_options",
     "PipelineSpec",
     "PipelineSpecError",
     "StageSpec",

@@ -1,19 +1,16 @@
 """The ``Compiler`` front door: run a pipeline spec with observer hooks.
 
 ``Compiler.from_spec("construct-dataflow,...,estimate", platform="zu3eg")``
-builds a stage list from the registry; ``.run(module)`` threads a
-:class:`~repro.compiler.stages.CompilationState` through the stages and
-returns the same :class:`~repro.hida.pipeline.CompileResult` the legacy
-``compile_module`` produced, so every downstream consumer (baselines, DSE,
-benchmark harnesses, the HLS emitter) works unchanged.
+builds a stage list from the registry; ``.run(module_or_workload)`` threads
+a :class:`~repro.compiler.stages.CompilationState` through the stages and
+returns a :class:`~repro.hida.pipeline.CompileResult`.  The pipeline spec
+is the only compiler configuration: ablations drop or reconfigure stages,
+and the canonical printed spec is what the QoR cache hashes.
 
 Observers (:class:`PipelineObserver`) receive per-stage begin/end events,
-per-stage IR snapshots (:class:`SnapshotObserver`), wall-clock timings
-(:class:`TimingObserver`) and structured diagnostics as they are emitted.
-
-The legacy ``HidaOptions`` surface maps losslessly onto pipeline specs via
-:func:`spec_from_options` / :func:`options_from_spec`; the canonical printed
-form of that mapping is what the QoR cache hashes.
+per-stage IR snapshots (:class:`SnapshotObserver`), wall-clock timings and
+stage spans (:class:`TimingObserver`) and structured diagnostics as they
+are emitted.
 """
 
 from __future__ import annotations
@@ -38,13 +35,10 @@ __all__ = [
     "Compiler",
     "PipelineObserver",
     "TimingObserver",
-    "TracingObserver",
     "SnapshotObserver",
     "DiagnosticsObserver",
     "DEFAULT_PIPELINE",
     "default_pipeline_spec",
-    "spec_from_options",
-    "options_from_spec",
 ]
 
 #: The canonical Figure-3 pipeline with every optimization enabled.
@@ -96,46 +90,27 @@ class PipelineObserver:
 
 
 class TimingObserver(PipelineObserver):
-    """Collects per-stage wall-clock seconds keyed by *stage* name.
+    """Collects per-stage wall-clock seconds and traces each stage as a span.
 
-    Unlike ``CompileResult.stage_seconds`` (which buckets by the legacy
-    timing keys), this keeps one entry per stage instance in run order —
-    useful when a spec runs the same stage twice.
+    Unlike ``CompileResult.stage_seconds`` (which buckets by ``timing_key``),
+    :attr:`timings` keeps one ``(stage name, seconds)`` entry per stage
+    instance in run order — useful when a spec runs the same stage twice.
+    Each stage also becomes a child span (category ``"stage"``) of the run's
+    ``compile`` span and diagnostics mirror as instant events; both are
+    no-ops while telemetry is off.  :meth:`Compiler.run` attaches one
+    automatically under a live telemetry session when none is present, so
+    ``--trace`` needs no caller cooperation.
     """
 
     def __init__(self) -> None:
         self.timings: List[tuple] = []
-
-    def on_stage_end(self, stage, state, seconds: float) -> None:
-        self.timings.append((stage.name, seconds))
-
-    def by_stage(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for name, seconds in self.timings:
-            totals[name] = totals.get(name, 0.0) + seconds
-        return totals
-
-
-class TracingObserver(TimingObserver):
-    """A :class:`TimingObserver` that also traces stages as obs spans.
-
-    Each stage becomes a child span (category ``"stage"``) of the run's
-    ``compile`` span on the live :mod:`repro.obs` session, and structured
-    diagnostics mirror as instant events.  :meth:`Compiler.run` attaches one
-    automatically whenever telemetry is enabled, so ``--trace`` needs no
-    caller cooperation; with telemetry disabled it degrades to the plain
-    timing behaviour (``obs.span`` hands out a shared no-op span).
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
         self._stage_span = None
 
     def on_stage_start(self, stage, state) -> None:
         self._stage_span = obs.span(stage.name, cat="stage")
 
     def on_stage_end(self, stage, state, seconds: float) -> None:
-        super().on_stage_end(stage, state, seconds)
+        self.timings.append((stage.name, seconds))
         span = self._stage_span
         if span is not None:
             span.set_attr(seconds=round(seconds, 6))
@@ -150,6 +125,12 @@ class TracingObserver(TimingObserver):
             severity=diagnostic.severity,
             message=diagnostic.message,
         )
+
+    def by_stage(self) -> Dict[str, float]:
+        totals: Dict[str, float] = {}
+        for name, seconds in self.timings:
+            totals[name] = totals.get(name, 0.0) + seconds
+        return totals
 
 
 class SnapshotObserver(PipelineObserver):
@@ -197,7 +178,6 @@ class Compiler:
         self.platform = platform
         self.verify_each = verify_each
         self.observers: List[PipelineObserver] = list(observers)
-        self._legacy_options = None
         #: Typed per-run metrics of the most recent :meth:`run` (the
         #: ``ir_cache.*`` counters back :attr:`ir_cache_stats`).  Lives on
         #: the compiler rather than :class:`CompileResult` so result records
@@ -225,26 +205,6 @@ class Compiler:
             verify_each=verify_each,
             observers=observers,
         )
-
-    @classmethod
-    def from_options(
-        cls, options, observers: Sequence[PipelineObserver] = ()
-    ) -> "Compiler":
-        """Build a compiler equivalent to legacy ``compile_module(options)``."""
-        compiler = cls(
-            _stages_from_options(options),
-            platform=options.platform,
-            verify_each=options.verify,
-            observers=observers,
-        )
-        if options.fusion_patterns is not None:
-            # Hand the live pattern instances through so custom
-            # FusionPattern subclasses (which textual specs cannot name)
-            # keep working exactly as they did pre-refactor.
-            for stage in compiler.stages:
-                if stage.name == "fuse-tasks":
-                    stage._pattern_instances = list(options.fusion_patterns)
-        return compiler
 
     # ----------------------------------------------------------------- spec
     def spec(self) -> PipelineSpec:
@@ -399,11 +359,11 @@ class Compiler:
 
         observers = list(self.observers)
         if obs.enabled() and not any(
-            isinstance(observer, TracingObserver) for observer in observers
+            isinstance(observer, TimingObserver) for observer in observers
         ):
             # `--trace` needs no caller cooperation: any run under a live
             # telemetry session gets per-stage spans attached automatically.
-            observers.append(TracingObserver())
+            observers.append(TimingObserver())
         self._run_observers = observers
 
         with obs.span(
@@ -508,17 +468,13 @@ class Compiler:
                     "append an 'estimate' stage (observers can inspect "
                     "partial runs)"
                 )
-            if self._legacy_options is None:
-                self._legacy_options = _options_from_stages(
-                    self.stages, platform=self.platform, verify=self.verify_each
-                )
             result = CompileResult(
                 module=module,
                 schedules=state.schedules,
                 estimate=state.estimate,
                 parallelization=state.parallelization,
                 balance_report=state.balance_report,
-                options=self._legacy_options,
+                platform=state.platform,
                 compile_seconds=time.perf_counter() - start,
                 stage_seconds=stage_seconds,
                 misalignments=state.misalignments,
@@ -527,106 +483,5 @@ class Compiler:
             self._dispatch("on_pipeline_end", result)
         return result
 
-    def run_workload(self, workload):
-        """Resolve a workload (id, handle or spec) via the registry and run it."""
-        return self.run(workload=workload)
-
     def __repr__(self) -> str:
         return f"Compiler({self.spec_text()!r}, platform={self.platform!r})"
-
-
-# ---------------------------------------------------------------------------
-# HidaOptions <-> pipeline spec bridge
-# ---------------------------------------------------------------------------
-
-
-def _stages_from_options(options) -> List[CompilationStage]:
-    """Typed stage instances equivalent to legacy ``compile_module(options)``."""
-    from ..hida.functional import fusion_pattern_name
-    from .stages import get_stage_class
-
-    def stage(name: str, **values) -> CompilationStage:
-        return get_stage_class(name)(**values)
-
-    stages: List[CompilationStage] = [stage("construct-dataflow")]
-    if options.fuse_tasks:
-        patterns = None
-        if options.fusion_patterns is not None:
-            patterns = [fusion_pattern_name(p) for p in options.fusion_patterns]
-        stages.append(stage("fuse-tasks", patterns=patterns))
-    stages.append(stage("lower-linalg"))
-    stages.append(stage("lower-structural"))
-    if options.eliminate_multi_producers:
-        stages.append(stage("eliminate-multi-producers"))
-    if options.balance_paths:
-        stages.append(stage("balance", budget=options.on_chip_bit_budget))
-    if options.tile_size > 0:
-        stages.append(stage("tile", size=options.tile_size))
-    stages.append(
-        stage(
-            "parallelize",
-            factor=options.max_parallel_factor,
-            ia=options.intensity_aware,
-            ca=options.connection_aware,
-            target_ii=options.target_ii,
-        )
-    )
-    stages.append(stage("estimate", dataflow=options.enable_dataflow))
-    return stages
-
-
-def spec_from_options(options) -> PipelineSpec:
-    """The pipeline spec equivalent to legacy ``compile_module(options)``.
-
-    Boolean ablation flags map to stage presence (``fuse_tasks=False`` drops
-    the ``fuse-tasks`` stage), scalar knobs map to stage options, and the
-    result prints canonically (defaults omitted) — the form the QoR cache
-    hashes.
-    """
-    return PipelineSpec([s.to_spec() for s in _stages_from_options(options)])
-
-
-def _options_from_stages(
-    stages: Sequence[CompilationStage], platform: str, verify: bool
-):
-    from ..hida.pipeline import HidaOptions
-
-    present = {stage.name for stage in stages}
-    options = HidaOptions(
-        platform=platform,
-        verify=verify,
-        fuse_tasks="fuse-tasks" in present,
-        eliminate_multi_producers="eliminate-multi-producers" in present,
-        balance_paths="balance" in present,
-        tile_size=0,
-    )
-    for stage in stages:
-        if stage.name == "fuse-tasks":
-            options.fusion_patterns = stage.resolved_patterns()
-        elif stage.name == "balance":
-            options.on_chip_bit_budget = stage.budget
-        elif stage.name == "tile":
-            options.tile_size = stage.size
-        elif stage.name == "parallelize":
-            options.max_parallel_factor = stage.factor
-            options.intensity_aware = stage.ia
-            options.connection_aware = stage.ca
-            options.target_ii = stage.target_ii
-        elif stage.name == "estimate":
-            options.enable_dataflow = stage.dataflow
-    return options
-
-
-def options_from_spec(
-    spec: Union[str, PipelineSpec], platform: str = "vu9p-slr", verify: bool = False
-):
-    """Best-effort legacy ``HidaOptions`` view of a pipeline spec.
-
-    Stage presence/options fold back onto the boolean flags and scalar
-    knobs; later duplicates win.  Used to populate ``CompileResult.options``
-    so legacy consumers keep working; specs exercising compositions the flag
-    surface cannot express (reordered or repeated stages) still compile —
-    only this summary view is lossy.
-    """
-    parsed = parse_pipeline(spec) if isinstance(spec, str) else spec
-    return _options_from_stages(build_stages(parsed), platform, verify)

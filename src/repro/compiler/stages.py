@@ -12,10 +12,9 @@ references to each other: composition order is entirely the pipeline
 spec's business, which is what makes ablations (drop a stage) and DSE over
 pipeline composition (permute/parametrize stages) serializable one-liners.
 
-``timing_key`` maps each stage onto the legacy ``CompileResult.stage_seconds``
-buckets of the monolithic ``compile_module`` (several structural-optimization
-stages share the historical ``dataflow-opt`` bucket), keeping result layouts
-byte-compatible across the refactor.
+``timing_key`` names the ``CompileResult.stage_seconds`` bucket a stage's
+time lands in; the structural-optimization stages share one ``dataflow-opt``
+bucket, so the buckets follow the paper's Figure-3 phases.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ __all__ = [
     "stage_registry",
 ]
 
-#: Default on-chip buffer budget in bits (mirrors ``HidaOptions``).
+#: Default on-chip buffer budget in bits (4 MiB).
 _DEFAULT_BIT_BUDGET = 4 * 1024 * 1024 * 8
 
 
@@ -180,7 +179,7 @@ class CompilationStage(abc.ABC):
 
     #: Spec-level stage name (what appears in textual pipelines).
     name: ClassVar[str] = ""
-    #: Bucket in ``CompileResult.stage_seconds`` (legacy-compatible).
+    #: Bucket in ``CompileResult.stage_seconds`` (defaults to ``name``).
     timing_key: ClassVar[str] = ""
     #: Declared options, in canonical printing order.
     option_decls: ClassVar[Tuple[StageOption, ...]] = ()
@@ -319,17 +318,8 @@ class FuseTasksStage(CompilationStage):
         ),
     )
 
-    def __init__(self, **options) -> None:
-        super().__init__(**options)
-        #: Direct pattern-instance override (set by ``Compiler.from_options``
-        #: so custom ``FusionPattern`` subclasses survive the spec round
-        #: trip; textual specs can only name the registered patterns).
-        self._pattern_instances = None
-
     def resolved_patterns(self):
         """Pattern instances for the configured names (None = defaults)."""
-        if self._pattern_instances is not None:
-            return list(self._pattern_instances)
         if self.patterns is None:
             return None
         by_name = fusion_patterns_by_name()

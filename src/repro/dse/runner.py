@@ -89,7 +89,7 @@ def _point_cache_key(
 
     Keyed by *what* is compiled (the input module's printed-IR fingerprint),
     *where* it targets (the platform) and *how* it is compiled — the
-    canonical printed pipeline spec, so flag-driven points and textual-spec
+    canonical printed pipeline spec, so knob-driven points and textual-spec
     points that denote the same stage sequence share cache entries.
     Includes the estimator's MODEL_VERSION so that bumping it (the
     documented way to signal an analytical-model change) invalidates every

@@ -24,7 +24,7 @@ import json
 import random
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..hida.pipeline import HidaOptions, WorkloadSpec
+from ..hida.pipeline import WorkloadSpec
 
 __all__ = [
     "DesignPoint",
@@ -36,6 +36,10 @@ __all__ = [
     "dnn_suite",
     "suite_from_names",
 ]
+
+#: Spec names of HIDA's default fusion patterns in application order; the
+#: ``top_k_fusion`` axis applies the first k of them.
+_FUSION_PATTERNS = ("elementwise", "init")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,7 +82,7 @@ class DesignPoint:
     #: per-stage knob above except ``platform``: the point compiles through
     #: ``Compiler.from_spec(pipeline_spec, platform=...)``, which makes
     #: *pipeline composition itself* searchable (stage order, dropped
-    #: stages, per-stage options the flags cannot express).
+    #: stages, per-stage options the knobs cannot express).
     pipeline_spec: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -119,45 +123,63 @@ class DesignPoint:
             params=self.workload_params,
         )
 
-    def options(self) -> HidaOptions:
-        from ..hida.functional import default_fusion_patterns
-
-        patterns = None
-        if self.top_k_fusion >= 0:
-            patterns = default_fusion_patterns()[: self.top_k_fusion]
-        return HidaOptions(
-            platform=self.platform,
-            max_parallel_factor=self.max_parallel_factor,
-            tile_size=self.tile_size,
-            fuse_tasks=self.top_k_fusion != 0,
-            target_ii=self.target_ii,
-            enable_dataflow=self.enable_dataflow,
-            intensity_aware=self.intensity_aware,
-            connection_aware=self.connection_aware,
-            fusion_patterns=patterns,
-        )
-
     def canonical_spec(self) -> str:
         """Canonical printed pipeline spec this point compiles through.
 
         Explicit ``pipeline_spec`` points re-print through the parser (so
-        equivalent spellings collapse); flag-driven points print the spec
-        derived from their options.  The QoR cache keys on this string.
+        equivalent spellings collapse); knob-driven points print the stage
+        list :meth:`compiler` builds from their fields.  The QoR cache keys
+        on this string.
         """
         return self.compiler().spec_text()
 
     def compiler(self):
-        """The :class:`~repro.compiler.driver.Compiler` for this point."""
-        from ..compiler import Compiler
+        """The :class:`~repro.compiler.driver.Compiler` for this point.
+
+        Knob-driven points run the Figure-3 stage sequence: ``top_k_fusion``
+        selects the ``fuse-tasks`` patterns (0 drops the stage, a negative
+        value applies every profitable pattern), ``tile_size`` 0 drops the
+        ``tile`` stage, and the remaining knobs are ``parallelize`` and
+        ``estimate`` options.
+        """
+        from ..compiler import Compiler, get_stage_class
 
         if self.pipeline_spec is not None:
             return Compiler.from_spec(self.pipeline_spec, platform=self.platform)
-        return Compiler.from_options(self.options())
+
+        def stage(name: str, **values):
+            return get_stage_class(name)(**values)
+
+        stages = [stage("construct-dataflow")]
+        if self.top_k_fusion != 0:
+            patterns = None
+            if self.top_k_fusion > 0:
+                patterns = list(_FUSION_PATTERNS[: self.top_k_fusion])
+            stages.append(stage("fuse-tasks", patterns=patterns))
+        stages += [
+            stage("lower-linalg"),
+            stage("lower-structural"),
+            stage("eliminate-multi-producers"),
+            stage("balance"),
+        ]
+        if self.tile_size > 0:
+            stages.append(stage("tile", size=self.tile_size))
+        stages.append(
+            stage(
+                "parallelize",
+                factor=self.max_parallel_factor,
+                ia=self.intensity_aware,
+                ca=self.connection_aware,
+                target_ii=self.target_ii,
+            )
+        )
+        stages.append(stage("estimate", dataflow=self.enable_dataflow))
+        return Compiler(stages, platform=self.platform)
 
     def to_dict(self) -> Dict[str, object]:
         data = dataclasses.asdict(self)
         if self.pipeline_spec is None:
-            # Keep point keys of flag-driven spaces stable across versions.
+            # Keep point keys of knob-driven spaces stable across versions.
             data.pop("pipeline_spec")
         if not self.workload_params:
             # Same stability contract for unparameterized workloads.

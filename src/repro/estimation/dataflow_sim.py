@@ -182,7 +182,7 @@ def _schedule_frames(
     """
     num_nodes = len(latencies)
     preds, succs = _frame_bounds(latencies, channels)
-    order = _topological_order(num_nodes, channels)
+    order = topological_order_with_cycle(num_nodes, channels)[0]
     finish = [[0.0] * num_nodes for _ in range(frames)]
     start = [[0.0] * num_nodes for _ in range(frames)]
     for frame in range(frames):
@@ -430,12 +430,6 @@ def topological_order_with_cycle(
             member for cycle in channel_cycles(num_nodes, channels) for member in cycle
         )
     return order, cycle_members
-
-
-def _topological_order(num_nodes: int, channels: Sequence[ChannelSpec]) -> List[int]:
-    """Topological order over data edges (falls back to index order on cycles)."""
-    order, _ = topological_order_with_cycle(num_nodes, channels)
-    return order
 
 
 def simulate_schedule(

@@ -20,7 +20,8 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..estimation.platform import PYNQ_Z2, Platform
-from ..hida.pipeline import CompileResult, HidaOptions, compile_module
+from ..compiler import Compiler
+from ..hida.pipeline import CompileResult
 from ..workloads import get_workload
 
 __all__ = [
@@ -251,13 +252,15 @@ def compile_hida_lenet(
     best: Optional[Tuple[float, float, CompileResult]] = None
     for batch in batches:
         for factor in parallel_factors:
-            module = handle.at(batch=batch).build_module()
-            options = HidaOptions(
-                platform=platform_name,
-                max_parallel_factor=factor,
-                tile_size=0,
+            # The default pipeline without external-memory tiling.
+            spec = (
+                "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
+                f"eliminate-multi-producers,balance,parallelize{{factor={factor}}},"
+                "estimate"
             )
-            result = compile_module(module, options)
+            result = Compiler.from_spec(spec, platform=platform_name).run(
+                handle.at(batch=batch).build_module()
+            )
             utilization = result.max_utilization()
             throughput = result.throughput * batch
             if utilization > 1.0:

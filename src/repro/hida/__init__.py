@@ -3,7 +3,7 @@
 The paper's primary contribution: Functional dataflow construction and task
 fusion, Structural lowering, multi-producer elimination, data-path
 balancing, intensity/connection analysis, IA+CA parallelization, and the
-end-to-end pipeline driver.
+records of one compilation (the driver is :mod:`repro.compiler`).
 """
 
 from .analysis import (
@@ -50,14 +50,7 @@ from .parallelize import (
     proposal_cost,
     sort_bands,
 )
-from .pipeline import (
-    CompileResult,
-    HidaCompiler,
-    HidaOptions,
-    WorkloadSpec,
-    compile_module,
-    compile_workload,
-)
+from .pipeline import CompileResult, WorkloadSpec
 from .structural import (
     LowerToStructuralPass,
     analyze_memory_effects,
@@ -105,10 +98,6 @@ __all__ = [
     "proposal_cost",
     "sort_bands",
     "CompileResult",
-    "HidaCompiler",
-    "HidaOptions",
-    "compile_module",
-    "compile_workload",
     "WorkloadSpec",
     "LowerToStructuralPass",
     "analyze_memory_effects",

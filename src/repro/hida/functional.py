@@ -34,7 +34,6 @@ __all__ = [
     "InitializationFusionPattern",
     "default_fusion_patterns",
     "fusion_patterns_by_name",
-    "fusion_pattern_name",
     "fuse_tasks",
     "task_intensity",
     "fuse_dataflow_tasks",
@@ -407,22 +406,13 @@ def fusion_patterns_by_name() -> dict:
     """Fresh pattern instances keyed by every accepted name.
 
     Both the short spec names (``elementwise``, ``init``) and the pattern
-    class names (``ElementwiseFusionPattern``, ...) resolve, so textual
-    pipeline specs and serialized :class:`~repro.hida.pipeline.HidaOptions`
-    dicts share one lookup.
+    class names (``ElementwiseFusionPattern``, ...) resolve in
+    ``fuse-tasks{patterns=...}``.
     """
     by_name = {name: cls() for name, cls in _FUSION_PATTERN_SHORT_NAMES.items()}
     for pattern in default_fusion_patterns():
         by_name[type(pattern).__name__] = pattern
     return by_name
-
-
-def fusion_pattern_name(pattern: FusionPattern) -> str:
-    """Canonical short name of a pattern (class name for custom patterns)."""
-    for name, cls in _FUSION_PATTERN_SHORT_NAMES.items():
-        if type(pattern) is cls:
-            return name
-    return type(pattern).__name__
 
 
 def fuse_tasks(first: TaskOp, second: TaskOp) -> TaskOp:

@@ -369,11 +369,14 @@ def emit_timeline(
 
 
 def telemetry_summary() -> Optional[Dict[str, Any]]:
-    """Compile/simulate/cache time split of the live session's events."""
+    """Compile/simulate/cache time split of the live session's events.
+
+    Spans still open (e.g. a caller's span around ``explore``) stay open and
+    are left out; only the exports close them.
+    """
     live = session()
     if live is None:
         return None
-    live.tracer.finish_open()
     summary = _summarize_events(live.events())
     summary["counters"] = {
         name: payload["value"]

@@ -2,13 +2,13 @@
 
 Covers the textual pipeline-spec parser/printer (round-trips, diagnostics
 with token + offset, hash stability), the stage registry, the observer
-hooks, the legacy-equivalence guarantee of the default spec, and the
-spec-expressed Figure-11 ablation baselines.
+hooks, compile results of spec runs, and the spec-expressed Figure-11
+ablation baselines.
 """
 
 import pytest
 
-from repro import Compiler, HidaOptions, compile_module
+from repro import Compiler
 from repro.baselines import ABLATION_MODES, ablation_pipeline_spec, run_ablation_mode
 from repro.compiler import (
     DEFAULT_PIPELINE,
@@ -21,14 +21,11 @@ from repro.compiler import (
     TimingObserver,
     available_stages,
     get_stage_class,
-    options_from_spec,
     parse_pipeline,
     register_stage,
-    spec_from_options,
     stage_registry,
 )
-from repro.frontend.cpp import build_kernel, build_listing1
-from repro.frontend.nn import build_model
+from repro.frontend.cpp import build_listing1
 from repro.ir import verify
 
 
@@ -168,7 +165,7 @@ class TestStageRegistry:
 # ------------------------------------------------------------ canonical
 class TestCanonicalSpecs:
     def test_default_options_print_default_pipeline(self):
-        assert spec_from_options(HidaOptions()).print() == DEFAULT_PIPELINE
+        assert Compiler.from_spec(DEFAULT_PIPELINE).spec_text() == DEFAULT_PIPELINE
 
     def test_canonical_print_drops_defaults(self):
         compiler = Compiler.from_spec("parallelize{factor=32,ia=1,ca=1,target-ii=1},estimate{dataflow=1}")
@@ -182,25 +179,16 @@ class TestCanonicalSpecs:
         assert c.spec_hash() != a.spec_hash()
 
     def test_options_spec_roundtrip(self):
-        options = HidaOptions(
-            platform="zu3eg",
-            max_parallel_factor=64,
-            tile_size=8,
-            fuse_tasks=False,
-            intensity_aware=False,
-            target_ii=2,
-            enable_dataflow=False,
+        text = (
+            "construct-dataflow,lower-linalg,lower-structural,eliminate-multi-producers,"
+            "balance,tile{size=8},parallelize{factor=64,ia=0,target-ii=2},"
+            "estimate{dataflow=0}"
         )
-        spec = spec_from_options(options)
-        restored = options_from_spec(spec, platform="zu3eg")
-        assert restored == options
-        assert spec_from_options(restored).print() == spec.print()
-
-    def test_options_to_pipeline_spec_method(self):
-        options = HidaOptions(balance_paths=False, tile_size=0)
-        text = options.to_pipeline_spec()
-        assert "balance" not in text and "tile" not in text
-        assert options_from_spec(text).balance_paths is False
+        compiler = Compiler.from_spec(text, platform="zu3eg")
+        assert compiler.spec_text() == text
+        (parallelize,) = [s for s in compiler.stages if s.name == "parallelize"]
+        assert (parallelize.factor, parallelize.ia, parallelize.target_ii) == (64, False, 2)
+        assert Compiler.from_spec(compiler.spec()).spec_text() == text
 
     def test_stagespec_print(self):
         stage = StageSpec("tile", {"size": ["8"]})
@@ -210,32 +198,8 @@ class TestCanonicalSpecs:
 
 # ----------------------------------------------------------- equivalence
 class TestLegacyEquivalence:
-    WORKLOADS = (
-        ("listing1", lambda: build_listing1()),
-        ("atax", lambda: build_kernel("atax")),
-        ("lenet", lambda: build_model("lenet")),
-    )
-
-    @pytest.mark.parametrize("name,builder", WORKLOADS, ids=[w[0] for w in WORKLOADS])
-    def test_default_spec_equals_legacy_compile_module(self, name, builder):
-        options = HidaOptions(platform="zu3eg")
-        legacy = compile_module(builder(), options)
-        spec_result = Compiler.from_spec(
-            spec_from_options(options), platform="zu3eg"
-        ).run(builder())
-        assert spec_result.estimate.to_dict() == legacy.estimate.to_dict()
-        assert len(spec_result.schedules) == len(legacy.schedules)
-        assert set(spec_result.stage_seconds) == set(legacy.stage_seconds)
-
-        def qor(result):
-            return {
-                k: v for k, v in result.summary().items() if k != "compile_seconds"
-            }
-
-        assert qor(spec_result) == qor(legacy)
-
     def test_default_stage_seconds_keys_match_legacy_names(self):
-        result = compile_module(build_listing1(), HidaOptions(platform="zu3eg"))
+        result = Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg").run(build_listing1())
         assert set(result.stage_seconds) == {
             "construct",
             "fusion",
@@ -246,52 +210,20 @@ class TestLegacyEquivalence:
             "estimate",
         }
 
-    def test_ablated_options_keep_legacy_stage_seconds_keys(self):
-        # The legacy monolith timed disabled stages as ~0s buckets; the
-        # wrapper must preserve those keys for external consumers.
-        result = compile_module(
-            build_listing1(),
-            HidaOptions(
-                platform="zu3eg",
-                fuse_tasks=False,
-                balance_paths=False,
-                eliminate_multi_producers=False,
-                tile_size=0,
-            ),
-        )
-        assert set(result.stage_seconds) >= {"fusion", "dataflow-opt"}
-        assert result.stage_seconds["fusion"] == 0.0
-
-    def test_custom_fusion_pattern_instances_survive_compile_module(self):
-        from repro.hida import ElementwiseFusionPattern
-
-        calls = []
-
-        class TracingPattern(ElementwiseFusionPattern):
-            name = "tracing-fusion"
-
-            def match(self, task):
-                calls.append(task)
-                return super().match(task)
-
-        result = compile_module(
-            build_model("lenet"),
-            HidaOptions(platform="zu3eg", fusion_patterns=[TracingPattern()]),
-        )
-        assert calls, "custom pattern instance was never consulted"
-        assert result.throughput > 0
-        assert result.options.fusion_patterns is not None
-        assert type(result.options.fusion_patterns[0]).__name__ == "TracingPattern"
-
     def test_compile_result_options_reflect_spec(self):
-        result = Compiler.from_spec(
+        compiler = Compiler.from_spec(
             "construct-dataflow,lower-structural,parallelize{factor=8,ca=0},estimate",
             platform="zu3eg",
-        ).run(build_listing1())
-        assert result.options.max_parallel_factor == 8
-        assert result.options.connection_aware is False
-        assert result.options.fuse_tasks is False
-        assert result.options.platform == "zu3eg"
+        )
+        result = compiler.run(build_listing1())
+        assert result.platform.name == "zu3eg"
+        # Only the stages the spec runs own a stage_seconds bucket.
+        assert set(result.stage_seconds) == {
+            "construct", "structural", "parallelize", "estimate"
+        }
+        assert compiler.spec_text() == (
+            "construct-dataflow,lower-structural,parallelize{factor=8,ca=0},estimate"
+        )
 
     def test_missing_estimate_stage_is_a_helpful_error(self):
         compiler = Compiler.from_spec("construct-dataflow,lower-structural")
@@ -379,13 +311,14 @@ class TestAblationSpecs:
             ablation_pipeline_spec("bogus", 8)
 
 
-# ----------------------------------------------- satellite: from_dict error
-class TestHidaOptionsFromDict:
+# -------------------------------------------------- fusion pattern names
+class TestFusionPatternNames:
     def test_unknown_fusion_pattern_lists_known_names(self):
-        data = HidaOptions().to_dict()
-        data["fusion_patterns"] = ["ElementwiseFusionPattern", "Bogus", "Worse"]
-        with pytest.raises(ValueError) as exc:
-            HidaOptions.from_dict(data)
+        compiler = Compiler.from_spec(
+            "construct-dataflow,fuse-tasks{patterns=ElementwiseFusionPattern,Bogus,Worse}"
+        )
+        with pytest.raises(PipelineSpecError) as exc:
+            compiler.run(build_listing1())
         message = str(exc.value)
         assert "'Bogus'" in message and "'Worse'" in message
         assert "ElementwiseFusionPattern" in message
@@ -393,10 +326,12 @@ class TestHidaOptionsFromDict:
         assert "elementwise" in message and "init" in message
 
     def test_short_names_accepted(self):
-        data = HidaOptions().to_dict()
-        data["fusion_patterns"] = ["elementwise", "init"]
-        options = HidaOptions.from_dict(data)
-        assert len(options.fusion_patterns) == 2
+        (stage,) = Compiler.from_spec("fuse-tasks{patterns=elementwise,init}").stages
+        patterns = stage.resolved_patterns()
+        assert [type(p).__name__ for p in patterns] == [
+            "ElementwiseFusionPattern",
+            "InitializationFusionPattern",
+        ]
 
 
 # ------------------------------------------------------------------- CLI

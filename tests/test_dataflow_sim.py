@@ -18,7 +18,7 @@ from repro.estimation import (
     simulate_dataflow,
     simulate_schedule,
 )
-from repro.estimation.dataflow_sim import _topological_order
+from repro.estimation.dataflow_sim import topological_order_with_cycle
 from repro.workloads import as_module
 from repro.compiler import Compiler
 
@@ -39,21 +39,21 @@ def test_topological_order_is_stable_under_channel_permutations():
         ChannelSpec(2, 3),
         ChannelSpec(0, 1),
     ]
-    baseline = _topological_order(4, channels)
+    baseline = topological_order_with_cycle(4, channels)[0]
     assert baseline == [0, 1, 2, 3]
     for permutation in itertools.permutations(channels):
-        assert _topological_order(4, list(permutation)) == baseline
+        assert topological_order_with_cycle(4, list(permutation))[0] == baseline
         # Duplicate edges are ignored, not double-counted.
-        assert _topological_order(4, list(permutation) * 2) == baseline
+        assert topological_order_with_cycle(4, list(permutation) * 2)[0] == baseline
 
 
 def test_topological_order_cycles_fall_back_to_program_order():
     channels = [ChannelSpec(0, 1), ChannelSpec(1, 0)]
-    order = _topological_order(2, channels)
+    order = topological_order_with_cycle(2, channels)[0]
     assert sorted(order) == [0, 1]
     # A cycle plus a downstream node: the acyclic part still sorts first.
     channels = [ChannelSpec(0, 1), ChannelSpec(1, 0), ChannelSpec(1, 2)]
-    order = _topological_order(3, channels)
+    order = topological_order_with_cycle(3, channels)[0]
     assert order[-1] != 0 or len(order) == 3
 
 
@@ -197,8 +197,6 @@ def test_channel_cycles_finds_cyclic_sccs():
 
 
 def test_topological_order_with_cycle_exposes_exact_member_set():
-    from repro.estimation.dataflow_sim import topological_order_with_cycle
-
     # Acyclic: a complete order, an empty member set.
     order, members = topological_order_with_cycle(
         3, [ChannelSpec(0, 1), ChannelSpec(1, 2)]
@@ -216,5 +214,3 @@ def test_topological_order_with_cycle_exposes_exact_member_set():
     order, members = topological_order_with_cycle(4, channels)
     assert sorted(order) == [0, 1, 2, 3]
     assert members == frozenset({0, 1})
-    # The legacy helper stays a thin wrapper over the same order.
-    assert _topological_order(4, channels) == order

@@ -5,22 +5,27 @@ Covers space generation, Pareto extraction, the content-hash QoR cache, and
 frontiers for any worker count and on warm-cache replays.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from repro.baselines import ABLATION_MODES, ablation_pipeline_spec
+from repro.compiler import DEFAULT_PIPELINE, Compiler
 from repro.dse import (
+    SPACE_PRESETS,
     DesignPoint,
     DesignSpace,
     QoRCache,
     build_space,
+    dnn_suite,
     evaluate_point,
     explore,
     pareto_frontier,
     polybench_suite,
 )
 from repro.estimation import DesignEstimate
-from repro.hida import HidaOptions, WorkloadSpec, compile_workload
+from repro.hida import WorkloadSpec
 from repro.ir import fingerprint_op
 
 
@@ -73,26 +78,43 @@ def test_design_point_roundtrip_and_options():
     )
     again = DesignPoint.from_dict(json.loads(json.dumps(point.to_dict())))
     assert again == point and again.key() == point.key()
-    options = point.options()
-    assert options.max_parallel_factor == 64
-    assert options.target_ii == 2
-    assert len(options.fusion_patterns) == 1
+    stages = {stage.name: stage for stage in point.compiler().stages}
+    assert stages["parallelize"].factor == 64
+    assert stages["parallelize"].target_ii == 2
+    assert stages["fuse-tasks"].patterns == ["elementwise"]
+    assert stages["tile"].size == 8
     no_fusion = DesignPoint(workload_kind="kernel", workload="2mm", top_k_fusion=0)
-    assert no_fusion.options().fuse_tasks is False
+    assert "fuse-tasks" not in [stage.name for stage in no_fusion.compiler().stages]
 
 
-def test_hida_options_serialization_roundtrip():
-    options = HidaOptions(platform="zu3eg", tile_size=4, target_ii=2)
-    restored = HidaOptions.from_dict(options.to_dict())
-    assert restored == options
-    assert restored.fingerprint() == options.fingerprint()
-    # Different options change the fingerprint.
-    assert HidaOptions(tile_size=8).fingerprint() != options.fingerprint()
+def test_canonical_specs_and_point_keys_are_pinned():
+    # Every preset's point keys and canonical specs, hashed in generation
+    # order: QoR-cache identities must not move when the stage-building
+    # code does (2,236 points, 150 distinct specs).
+    digest = hashlib.sha256()
+    for preset in sorted(SPACE_PRESETS):
+        for suite in (polybench_suite(), dnn_suite()):
+            for point in build_space(preset, suite=suite):
+                digest.update(f"{point.key()} {point.canonical_spec()}\n".encode())
+    assert digest.hexdigest()[:16] == "17830fe7e5b38210"
+    prefix = (
+        "construct-dataflow,fuse-tasks,lower-linalg,lower-structural,"
+        "eliminate-multi-producers,balance,tile,"
+    )
+    assert {
+        mode: ablation_pipeline_spec(mode, max_parallel_factor=8) for mode in ABLATION_MODES
+    } == {
+        "ia+ca": prefix + "parallelize{factor=8,ia=1,ca=1},estimate",
+        "ia": prefix + "parallelize{factor=8,ia=1,ca=0},estimate",
+        "ca": prefix + "parallelize{factor=8,ia=0,ca=1},estimate",
+        "naive": prefix + "parallelize{factor=8,ia=0,ca=0},estimate",
+    }
+    assert Compiler.from_spec(DEFAULT_PIPELINE).spec_text() == DEFAULT_PIPELINE
 
 
 def test_workload_spec_builds_and_compiles():
     spec = WorkloadSpec("kernel", "atax")
-    result = compile_workload(spec, HidaOptions(platform="zu3eg"))
+    result = Compiler.from_spec(DEFAULT_PIPELINE, platform="zu3eg").run(workload=spec)
     assert result.throughput > 0
     with pytest.raises(ValueError):
         WorkloadSpec("netlist", "atax").build()
@@ -418,10 +440,9 @@ def test_dse_cli_resume_and_pipeline_spec(tmp_path, capsys):
 def test_qor_estimator_cache_plumbing(tmp_path):
     from repro.estimation import QoREstimator, get_platform
     from repro.frontend.cpp import build_kernel
-    from repro.hida import compile_module
 
     cache = QoRCache(tmp_path / "estimator")
-    result = compile_module(build_kernel("atax"))
+    result = Compiler.from_spec(DEFAULT_PIPELINE).run(build_kernel("atax"))
     schedule = result.schedules[0]
     estimator = QoREstimator(get_platform("zu3eg"), cache=cache)
     first = estimator.estimate_schedule(schedule)

@@ -30,9 +30,13 @@ from repro.dialects.arith import AddFOp, MulFOp
 from repro.dialects.dataflow import BufferOp
 from repro.dialects.memref import AllocOp
 from repro.frontend.cpp import KernelBuilder, build_kernel, build_listing1
-from repro.hida import HidaOptions, compile_module
+from pipelines import hida_spec
+from repro.compiler import Compiler
 from repro.ir import ConstantOp, MemRefType, f32, i8
 from repro.transforms.loop_transforms import loop_bands_of, pipeline_loop
+
+#: The default pipeline without fusion or tiling, at parallel factor 8.
+_UNFUSED_UNTILED_F8 = hida_spec(fuse_tasks=None, tile=None, parallelize="factor=8")
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +200,7 @@ class TestDataflowSimulator:
         assert total >= max(latencies) * 0.999
 
     def test_simulate_schedule_end_to_end(self):
-        result = compile_module(
-            build_listing1(),
-            HidaOptions(platform="zu3eg", max_parallel_factor=8, tile_size=0, fuse_tasks=False),
-        )
+        result = Compiler.from_spec(_UNFUSED_UNTILED_F8, platform="zu3eg").run(build_listing1())
         schedule = result.schedules[0]
         estimates = result.estimate.node_estimates
         interval, latency = simulate_schedule(schedule, estimates)
@@ -214,10 +215,7 @@ class TestDataflowSimulator:
 
 class TestDesignEstimation:
     def test_dataflow_beats_sequential_estimate(self):
-        result = compile_module(
-            build_listing1(),
-            HidaOptions(platform="zu3eg", max_parallel_factor=8, tile_size=0, fuse_tasks=False),
-        )
+        result = Compiler.from_spec(_UNFUSED_UNTILED_F8, platform="zu3eg").run(build_listing1())
         estimator = QoREstimator(ZU3EG)
         schedule = result.schedules[0]
         dataflow = estimator.estimate_schedule(schedule, dataflow=True)

@@ -389,9 +389,10 @@ class TestDataPathBalancing:
 
     def test_resnet_shortcuts_trigger_balancing(self):
         module = build_model("resnet18")
-        from repro.hida import compile_module, HidaOptions
+        from pipelines import hida_spec
+        from repro.compiler import Compiler
 
-        result = compile_module(module, HidaOptions(max_parallel_factor=8))
+        result = Compiler.from_spec(hida_spec(parallelize="factor=8")).run(module)
         assert result.balance_report.buffers_deepened + result.balance_report.soft_fifos > 0
 
 

@@ -25,7 +25,6 @@ from repro.compiler.driver import (
     DiagnosticsObserver,
     PipelineObserver,
     TimingObserver,
-    TracingObserver,
 )
 from repro.dse import DesignPoint, DesignSpace, explore
 from repro.obs.export import (
@@ -374,21 +373,38 @@ def test_observer_raising_in_on_diagnostic_does_not_recurse():
 
 def test_tracing_observer_is_a_timing_observer():
     obs.configure(clock=FakeClock())
-    tracing = TracingObserver()
+    timing = TimingObserver()
     compiler = Compiler.from_spec(
-        DEFAULT_PIPELINE, platform="zu3eg", observers=[tracing]
+        DEFAULT_PIPELINE, platform="zu3eg", observers=[timing]
     )
     compiler.run(workload=get_workload("atax"))
-    assert isinstance(tracing, TimingObserver)
-    assert len(tracing.timings) > 0  # still collects plain timings
+    assert [name for name, _ in timing.timings] == DEFAULT_PIPELINE.split(",")
     stage_spans = [
         e
         for e in obs.session().events()
         if e["type"] == "span" and e["cat"] == "stage"
     ]
-    # Auto-attach must not double-instrument when one is already present.
-    names = [e["name"] for e in stage_spans]
-    assert len(names) == len(set(names))
+    # One span per stage: auto-attach must not double-instrument when a
+    # timing observer is already present.
+    assert [e["name"] for e in stage_spans] == DEFAULT_PIPELINE.split(",")
+
+
+def test_traced_explore_leaves_caller_spans_open(tmp_path):
+    obs.configure()
+    outer = obs.span("caller", cat="test")
+    result = explore(tiny_space(), workers=1, cache_dir=tmp_path / "qor")
+    assert result.telemetry is not None
+    assert outer.end_us is None, "explore closed a span its caller opened"
+    outer.finish()
+    spans = {
+        e["name"]: e for e in obs.session().events() if e["type"] == "span"
+    }
+    caller, explore_span = spans["caller"], spans["dse.explore"]
+    assert explore_span["parent"] == caller["id"]
+    assert caller["ts"] <= explore_span["ts"]
+    assert (
+        caller["ts"] + caller["dur"] >= explore_span["ts"] + explore_span["dur"]
+    )
 
 
 # ---------------------------------------------------------------------------

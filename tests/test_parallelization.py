@@ -3,13 +3,13 @@ reproducing Tables 4, 5 and 6 of the paper on the Listing-1 example."""
 
 import pytest
 
+from pipelines import hida_spec
+from repro.compiler import Compiler
 from repro.frontend.cpp import build_listing1
 from repro.hida import (
-    HidaOptions,
     ParallelizationOptions,
     collect_band_infos,
     collect_connections,
-    compile_module,
     connection_table,
     count_misalignments,
     generate_parallel_factors,
@@ -29,14 +29,10 @@ def lower_listing1_to_schedule(fuse=False):
     return module, schedules[0]
 
 
-def compile_listing1(**overrides):
-    module = build_listing1()
-    options = HidaOptions(
-        platform="zu3eg", max_parallel_factor=32, tile_size=0, fuse_tasks=False
-    )
-    for key, value in overrides.items():
-        setattr(options, key, value)
-    return compile_module(module, options)
+def compile_listing1(parallelize=""):
+    """Compile Listing 1 unfused and untiled; ``parallelize`` sets its options."""
+    spec = hida_spec(fuse_tasks=None, tile=None, parallelize=parallelize)
+    return Compiler.from_spec(spec, platform="zu3eg").run(build_listing1())
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +176,7 @@ class TestTable5And6:
         assert result.misalignments == 0
 
     def test_ia_only_unroll_factors(self):
-        result = compile_listing1(connection_aware=False)
+        result = compile_listing1("ca=0")
         factors = {
             result.parallelization.intensities[k]: v
             for k, v in result.parallelization.unroll_factors.items()
@@ -190,7 +186,7 @@ class TestTable5And6:
         assert factors[256] == [1, 2]
 
     def test_ca_only_unroll_factors(self):
-        result = compile_listing1(intensity_aware=False)
+        result = compile_listing1("ia=0")
         factors = {
             result.parallelization.intensities[k]: v
             for k, v in result.parallelization.unroll_factors.items()
@@ -200,7 +196,7 @@ class TestTable5And6:
         assert factors[256] == [4, 8]
 
     def test_naive_unroll_factors(self):
-        result = compile_listing1(intensity_aware=False, connection_aware=False)
+        result = compile_listing1("ia=0,ca=0")
         factors = {
             result.parallelization.intensities[k]: v
             for k, v in result.parallelization.unroll_factors.items()
@@ -221,13 +217,13 @@ class TestTable5And6:
 
     def test_table6_bank_counts_increase_without_awareness(self):
         banks_by_mode = {}
-        for mode, overrides in {
-            "ia+ca": {},
-            "ia": {"connection_aware": False},
-            "ca": {"intensity_aware": False},
-            "naive": {"intensity_aware": False, "connection_aware": False},
+        for mode, parallelize in {
+            "ia+ca": "",
+            "ia": "ca=0",
+            "ca": "ia=0",
+            "naive": "ia=0,ca=0",
         }.items():
-            result = compile_listing1(**overrides)
+            result = compile_listing1(parallelize)
             banks_by_mode[mode] = sum(
                 b.partition.banks for s in result.schedules for b in s.buffers
             )
@@ -238,7 +234,7 @@ class TestTable5And6:
         assert banks_by_mode["naive"] >= 4 * banks_by_mode["ia+ca"]
 
     def test_misalignment_counter(self):
-        result = compile_listing1(connection_aware=False)
+        result = compile_listing1("ca=0")
         # IA-only factors happen to stay aligned on this small example or not;
         # the counter must simply be consistent and non-negative.
         assert result.misalignments >= 0

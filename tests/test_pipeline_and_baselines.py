@@ -3,7 +3,8 @@ the LeNet case study harness."""
 
 import pytest
 
-from repro import HidaCompiler, HidaOptions, compile_module, emit_hls_cpp
+from pipelines import hida_spec
+from repro import Compiler, emit_hls_cpp
 from repro.baselines import (
     ABLATION_MODES,
     UnsupportedModelError,
@@ -36,56 +37,57 @@ from repro.ir import verify
 
 class TestPipeline:
     def test_listing1_compiles_and_verifies(self):
-        result = compile_module(
-            build_listing1(),
-            HidaOptions(platform="zu3eg", max_parallel_factor=32, tile_size=0, verify=True),
-        )
+        result = Compiler.from_spec(
+            hida_spec(tile=None), platform="zu3eg", verify_each=True
+        ).run(build_listing1())
         assert result.schedules
         assert result.throughput > 0
         assert verify(result.module) == []
 
     def test_summary_keys(self):
-        result = compile_module(build_listing1(), HidaOptions(platform="zu3eg", tile_size=0))
+        result = Compiler.from_spec(hida_spec(tile=None), platform="zu3eg").run(build_listing1())
         summary = result.summary()
         for key in ("throughput", "dsp", "bram", "lut", "interval_cycles", "num_nodes"):
             assert key in summary
 
     def test_single_band_kernel_estimated_without_schedule(self):
-        result = compile_module(build_kernel("symm"), HidaOptions(platform="zu3eg"))
+        result = Compiler.from_spec(hida_spec(), platform="zu3eg").run(build_kernel("symm"))
         assert result.schedules == []
         assert result.throughput > 0
 
     def test_dnn_compiles_quickly(self):
-        result = HidaCompiler().compile_model("lenet", max_parallel_factor=16)
+        result = Compiler.from_spec(hida_spec(parallelize="factor=16")).run(build_model("lenet"))
         assert result.compile_seconds < 30
         assert result.throughput > 0
 
     def test_larger_parallel_factor_not_slower(self):
-        small = HidaCompiler().compile_model("lenet", max_parallel_factor=4)
-        large = HidaCompiler().compile_model("lenet", max_parallel_factor=32)
+        small = Compiler.from_spec(hida_spec(parallelize="factor=4")).run(build_model("lenet"))
+        large = Compiler.from_spec(hida_spec()).run(build_model("lenet"))
         assert large.throughput >= small.throughput * 0.99
         assert large.estimate.resources.dsp >= small.estimate.resources.dsp
 
     def test_dataflow_disabled_is_slower(self):
-        with_df = compile_module(
-            build_listing1(), HidaOptions(platform="zu3eg", tile_size=0)
+        with_df = Compiler.from_spec(hida_spec(tile=None), platform="zu3eg").run(
+            build_listing1()
         )
-        without_df = compile_module(
-            build_listing1(), HidaOptions(platform="zu3eg", tile_size=0, enable_dataflow=False)
-        )
+        without_df = Compiler.from_spec(
+            hida_spec(tile=None, estimate="dataflow=0"), platform="zu3eg"
+        ).run(build_listing1())
         assert with_df.throughput >= without_df.throughput
 
     def test_tiling_reduces_on_chip_memory_for_dnn(self):
-        tiled = HidaCompiler().compile_model("vgg16", max_parallel_factor=16, tile_size=16)
-        untiled = HidaCompiler().compile_model("vgg16", max_parallel_factor=16, tile_size=0)
+        tiled = Compiler.from_spec(hida_spec(parallelize="factor=16")).run(build_model("vgg16"))
+        untiled = Compiler.from_spec(hida_spec(tile=None, parallelize="factor=16")).run(
+            build_model("vgg16")
+        )
         assert tiled.estimate.resources.bram < untiled.estimate.resources.bram
 
     def test_compiler_kernel_entry_point(self):
-        result = HidaCompiler(HidaOptions(platform="zu3eg")).compile_kernel("mvt")
+        result = Compiler.from_spec(hida_spec(), platform="zu3eg").run(workload="mvt")
         assert result.throughput > 0
 
     def test_stage_timings_recorded(self):
-        result = compile_module(build_listing1(), HidaOptions(platform="zu3eg", tile_size=0))
+        result = Compiler.from_spec(hida_spec(tile=None), platform="zu3eg").run(build_listing1())
         assert set(result.stage_seconds) >= {
             "construct", "fusion", "bufferize", "structural", "dataflow-opt", "parallelize",
         }
@@ -104,18 +106,20 @@ class TestBaselines:
         assert estimate.throughput > 0
 
     def test_hida_beats_vitis_on_multi_loop_kernel(self):
-        hida = compile_module(build_kernel("2mm"), HidaOptions(platform="zu3eg", max_parallel_factor=16))
+        hida = Compiler.from_spec(hida_spec(parallelize="factor=16"), platform="zu3eg").run(
+            build_kernel("2mm")
+        )
         vitis = compile_vitis_baseline(build_kernel("2mm"), platform="zu3eg")
         assert hida.throughput > vitis.throughput
 
     def test_scalehls_keeps_everything_on_chip(self):
         scalehls = compile_scalehls_baseline(build_model("lenet"), max_parallel_factor=8)
-        hida = HidaCompiler().compile_model("lenet", max_parallel_factor=8, tile_size=16)
+        hida = Compiler.from_spec(hida_spec(parallelize="factor=8")).run(build_model("lenet"))
         assert scalehls.estimate.resources.bram > hida.estimate.resources.bram
 
     def test_hida_beats_scalehls_on_dnn_at_equal_parallelism_budget(self):
         scalehls = compile_scalehls_baseline(build_model("resnet18"), max_parallel_factor=16)
-        hida = HidaCompiler().compile_model("resnet18", max_parallel_factor=64)
+        hida = Compiler.from_spec(hida_spec(parallelize="factor=64")).run(build_model("resnet18"))
         # At a comparable DSP budget HIDA reaches higher throughput.
         assert hida.estimate.resources.dsp <= scalehls.estimate.resources.dsp * 1.6
         assert hida.throughput > scalehls.throughput
@@ -154,9 +158,7 @@ class TestBaselines:
 
 class TestEmitter:
     def test_emits_dataflow_and_pipeline_pragmas(self):
-        result = compile_module(
-            build_listing1(), HidaOptions(platform="zu3eg", max_parallel_factor=32, tile_size=0)
-        )
+        result = Compiler.from_spec(hida_spec(tile=None), platform="zu3eg").run(build_listing1())
         code = emit_hls_cpp(result.module)
         assert "#pragma HLS dataflow" in code
         assert "#pragma HLS pipeline" in code
@@ -165,7 +167,7 @@ class TestEmitter:
         assert "void listing1(" in code
 
     def test_emits_interfaces_for_external_arguments(self):
-        result = compile_module(build_kernel("atax"), HidaOptions(platform="zu3eg"))
+        result = Compiler.from_spec(hida_spec(), platform="zu3eg").run(build_kernel("atax"))
         code = emit_hls_cpp(result.module)
         assert "#pragma HLS interface m_axi" in code
 
@@ -248,7 +250,7 @@ class TestReportingAndMetrics:
     def test_hida_dsp_efficiency_in_sane_range(self):
         module = build_model("vgg16")
         macs = sum(row[3] for row in layer_summary(module))
-        result = HidaCompiler().compile_model("vgg16", max_parallel_factor=128)
+        result = Compiler.from_spec(hida_spec(parallelize="factor=128")).run(build_model("vgg16"))
         platform = get_platform("vu9p-slr")
         efficiency = dsp_efficiency(
             result.throughput, macs, result.estimate.resources.dsp, platform.clock_hz
